@@ -1,9 +1,9 @@
 GO ?= go
 
-# Packages carrying the refresh-engine + broadcast + metrics benchmark
+# Packages carrying the refresh-engine + broadcast + metrics + ingest benchmark
 # suite.
-BENCH_PKGS = ./internal/fft ./internal/acf ./internal/stream ./internal/server ./internal/obs ./internal/obs/trace
-BENCH_PAT  = ^(BenchmarkRefresh|BenchmarkACFPlan|BenchmarkFFTPlan|BenchmarkIncrementalACF|BenchmarkPushBatchCoalesced|BenchmarkBroadcastFanout|BenchmarkMetricsHotPath|BenchmarkTraceHotPath)$$
+BENCH_PKGS = ./internal/fft ./internal/acf ./internal/core ./internal/stream ./internal/server ./internal/obs ./internal/obs/trace
+BENCH_PAT  = ^(BenchmarkRefresh|BenchmarkACFPlan|BenchmarkFFTPlan|BenchmarkIncrementalACF|BenchmarkPushBatchCoalesced|BenchmarkBroadcastFanout|BenchmarkMetricsHotPath|BenchmarkTraceHotPath|BenchmarkEvaluate|BenchmarkIngestHandler)$$
 
 # bench-gate knobs: fractional ns/op+B/op growth, absolute allocs/op
 # growth, and absolute B/op slack allowed over the committed

@@ -121,7 +121,8 @@ func Evaluate(xs []float64, w int) (Metrics, error) {
 	if w < 1 || w > n {
 		return Metrics{}, fmt.Errorf("%w: window %d for %d points", ErrInput, w, n)
 	}
-	var valMoments, diffMoments stats.Moments
+	var valMoments stats.Moments
+	var diffMoments varianceAcc
 	inv := 1 / float64(w)
 	var sum float64
 	for i := 0; i < w; i++ {
@@ -135,13 +136,46 @@ func Evaluate(xs []float64, w int) (Metrics, error) {
 		sum += xs[i+w-1] - xs[i-1]
 		y := sum * inv
 		valMoments.Add(y)
-		diffMoments.Add(y - prev)
+		diffMoments.add(y - prev)
 		prev = y
 	}
 	return Metrics{
-		Roughness: diffMoments.StdDev(),
+		Roughness: diffMoments.stdDev(),
 		Kurtosis:  valMoments.Kurtosis(),
 	}, nil
+}
+
+// varianceAcc is stats.Moments cut down to Mean and M2, which is all
+// Roughness (a standard deviation) reads: the difference series never
+// needs M3 or M4. Its update is Moments.Add's, expression for
+// expression, so stdDev equals Moments.StdDev bit for bit. Keep the
+// shapes identical rather than merely equivalent: on arm64 the compiler
+// fuses "m2 += delta*deltaN*n1" into one multiply-add in both, and an
+// explicit float64(...) rounding here would stop that fusion on one side
+// only.
+type varianceAcc struct {
+	n        int
+	mean, m2 float64
+}
+
+func (a *varianceAcc) add(x float64) {
+	n1 := float64(a.n)
+	a.n++
+	n := float64(a.n)
+	delta := x - a.mean
+	deltaN := delta / n
+	term1 := delta * deltaN * n1
+	a.mean += deltaN
+	a.m2 += term1
+}
+
+// stdDev is Moments.StdDev: the population standard deviation, 0 for
+// fewer than two observations.
+func (a varianceAcc) stdDev() float64 {
+	if a.n < 2 {
+		return 0
+	}
+	return math.Sqrt(a.m2 / float64(a.n))
 }
 
 // defaultMaxWindow returns the search bound for an n-point series.

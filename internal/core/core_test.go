@@ -76,6 +76,45 @@ func TestEvaluateProperty(t *testing.T) {
 	}
 }
 
+// TestVarianceAccMatchesMoments: Evaluate's Mean+M2 accumulator must
+// give the standard deviation stats.Moments gives, bit for bit, or every
+// roughness (and so every chosen window) could drift from the
+// reference search.
+func TestVarianceAccMatchesMoments(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	series := map[string][]float64{
+		"empty": nil,
+		"one":   {3.5},
+	}
+	gen := func(name string, n int, f func(i int) float64) {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = f(i)
+		}
+		series[name] = xs
+	}
+	gen("random", 2000, func(int) float64 { return rng.NormFloat64() * 5 })
+	gen("constant", 500, func(int) float64 { return 0.1 })
+	gen("huge-offset", 2000, func(int) float64 { return 1e12 + rng.Float64() })
+	gen("alternating-sign", 2000, func(i int) float64 { return float64(1-2*(i%2)) * (1 + 1e-9*float64(i)) })
+	gen("heavy-tail", 2000, func(int) float64 { return math.Exp(8 * rng.NormFloat64()) })
+	gen("tiny", 500, func(int) float64 { return 1e-300 * rng.NormFloat64() })
+	for name, xs := range series {
+		var acc varianceAcc
+		var ref stats.Moments
+		for i, x := range xs {
+			acc.add(x)
+			ref.Add(x)
+			if got, want := acc.stdDev(), ref.StdDev(); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s: after %d values stdDev %v, Moments %v", name, i+1, got, want)
+			}
+		}
+		if acc.mean != ref.Mean || acc.m2 != ref.M2 {
+			t.Errorf("%s: mean/m2 %v/%v, Moments %v/%v", name, acc.mean, acc.m2, ref.Mean, ref.M2)
+		}
+	}
+}
+
 func TestEvaluateErrors(t *testing.T) {
 	xs := []float64{1, 2, 3}
 	if _, err := Evaluate(xs, 0); err == nil {

@@ -161,8 +161,10 @@ type Follower struct {
 
 	// lastCursor is the cursor as last persisted; manVersion the
 	// primary's append version as of the last manifest (the long-poll
-	// resume token). Touched only by the poll goroutine (and Stop's
-	// finalize after the loop has exited).
+	// resume token), -1 before the first: a primary's versions start at
+	// 0, so a 0 here would park the first poll against a primary that
+	// has appended nothing since it started. Touched only by the poll
+	// goroutine (and Stop's finalize after the loop has exited).
 	lastCursor wal.Cursor
 	manVersion int64
 
@@ -247,12 +249,13 @@ func New(cfg Config) (*Follower, error) {
 	}
 
 	f := &Follower{
-		cfg:     cfg,
-		logf:    logf,
-		client:  client,
-		spec:    spec,
-		stopc:   make(chan struct{}),
-		runDone: make(chan struct{}),
+		cfg:        cfg,
+		logf:       logf,
+		client:     client,
+		spec:       spec,
+		manVersion: -1,
+		stopc:      make(chan struct{}),
+		runDone:    make(chan struct{}),
 	}
 	f.gauges.Primary = client.Primary()
 	return f, nil

@@ -321,29 +321,23 @@ func (h *Hub) Drop(name string) bool {
 // the next PushBatch on, ingest is logged before it is applied.
 func (h *Hub) SetWAL(l *wal.Log) { h.wal.Store(l) }
 
-// Apply pushes an already-parsed ingest batch, grouping consecutive
-// points per series so each series takes its shard lock once. Call
-// only with a fully parsed batch: parse errors must be surfaced before
-// any point is applied so a bad line never leaves a partial batch.
+// Apply pushes an already-parsed ingest body: the per-series batches
+// parseIngest built, in the order each series first appeared, so each
+// series takes its shard lock and makes one WAL append per request.
+// Call only with a fully parsed body: parse errors must be surfaced
+// before any point is applied so a bad line never leaves a partial
+// batch.
 //
 // A non-nil error is a durability failure (stream-config errors were
 // ruled out by NewHub): series pushed before the failing one stay
 // applied — their WAL records landed — and the counts report what was
 // applied so the caller can say so.
-func (h *Hub) Apply(ctx context.Context, pts []point) (npoints, nseries int, err error) {
-	order := make([]string, 0, 4)
-	groups := make(map[string][]float64, 4)
-	for _, p := range pts {
-		if _, ok := groups[p.series]; !ok {
-			order = append(order, p.series)
-		}
-		groups[p.series] = append(groups[p.series], p.value)
-	}
-	for _, name := range order {
-		if err := h.push(ctx, name, groups[name], true); err != nil {
+func (h *Hub) Apply(ctx context.Context, batches []batch) (npoints, nseries int, err error) {
+	for _, b := range batches {
+		if err := h.push(ctx, b.series, b.values, true); err != nil {
 			return npoints, nseries, err
 		}
-		npoints += len(groups[name])
+		npoints += len(b.values)
 		nseries++
 	}
 	return npoints, nseries, nil

@@ -167,3 +167,60 @@ func testFollowerLongPoll(t *testing.T, fsyncEvery time.Duration) {
 		t.Fatal(err)
 	}
 }
+
+// TestFollowerFirstPollAnswersAtOnce: a new follower has seen no
+// manifest, so its first long-poll must not park even when the primary's
+// append version is still at its start value — a primary restarted over
+// its data dir with no ingest since. Otherwise a fresh follower reports
+// unsynced for a whole LongPoll.
+func TestFollowerFirstPollAnswersAtOnce(t *testing.T) {
+	dir := t.TempDir()
+	first, err := New(durableConfig(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := first.Hub().PushBatch("cpu", sineValues(400, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := first.Close(); err != nil {
+		t.Fatal(err)
+	}
+	primary, err := New(durableConfig(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer primary.Close()
+	tsP := httptest.NewServer(primary.Handler())
+	defer tsP.Close()
+
+	const longPoll = 20 * time.Second // FollowPoll doubles as the long-poll hold
+	fcfg := followerConfig(t.TempDir(), tsP.URL)
+	fcfg.FollowPoll = longPoll
+	fol, err := New(fcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lnF, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fctx, fcancel := context.WithCancel(context.Background())
+	fdone := make(chan error, 1)
+	start := time.Now()
+	go func() { fdone <- fol.Serve(fctx, lnF) }()
+	defer func() {
+		fcancel()
+		if err := <-fdone; err != nil {
+			t.Error(err)
+		}
+	}()
+	for !fol.Follower().Status().Synced {
+		if elapsed := time.Since(start); elapsed > longPoll/4 {
+			t.Fatalf("follower not synced after %s (long-poll %s): %+v", elapsed, longPoll, fol.Follower().Status())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if got := fol.Hub().Stats()["cpu"].RawPoints; got != 400 {
+		t.Fatalf("follower has %d raw points, want 400", got)
+	}
+}

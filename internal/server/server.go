@@ -599,9 +599,17 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	defer r.Body.Close()
 	_, psp := trace.StartSpan(r.Context(), "parse")
-	pts, err := parseIngest(http.MaxBytesReader(w, r.Body, s.cfg.MaxIngestBytes), s.hub.DefaultSeries())
+	body, err := readBody(http.MaxBytesReader(w, r.Body, s.cfg.MaxIngestBytes), r.ContentLength, s.cfg.MaxIngestBytes)
+	var batches []batch
+	if err == nil {
+		batches, err = parseIngest(body, s.hub.DefaultSeries())
+	}
 	if psp != nil {
-		psp.SetInt("points", int64(len(pts)))
+		npts := 0
+		for _, b := range batches {
+			npts += len(b.values)
+		}
+		psp.SetInt("points", int64(npts))
 		if err != nil {
 			psp.SetError(err.Error())
 		}
@@ -620,7 +628,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	npts, nseries, err := s.hub.Apply(r.Context(), pts)
+	npts, nseries, err := s.hub.Apply(r.Context(), batches)
 	if err != nil {
 		// Everything before the failing series was logged and applied;
 		// the remainder was dropped. A degraded shard is a retryable
