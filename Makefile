@@ -1,9 +1,9 @@
 GO ?= go
 
-# Packages carrying the refresh-engine + broadcast + metrics + ingest benchmark
-# suite.
+# Packages carrying the refresh-engine + broadcast + metrics + ingest + read
+# benchmark suite.
 BENCH_PKGS = ./internal/fft ./internal/acf ./internal/core ./internal/stream ./internal/server ./internal/obs ./internal/obs/trace
-BENCH_PAT  = ^(BenchmarkRefresh|BenchmarkACFPlan|BenchmarkFFTPlan|BenchmarkIncrementalACF|BenchmarkPushBatchCoalesced|BenchmarkBroadcastFanout|BenchmarkMetricsHotPath|BenchmarkTraceHotPath|BenchmarkEvaluate|BenchmarkIngestHandler)$$
+BENCH_PAT  = ^(BenchmarkRefresh|BenchmarkACFPlan|BenchmarkFFTPlan|BenchmarkIncrementalACF|BenchmarkPushBatchCoalesced|BenchmarkBroadcastFanout|BenchmarkMetricsHotPath|BenchmarkTraceHotPath|BenchmarkEvaluate|BenchmarkIngestHandler|BenchmarkReadHandlers)$$
 
 # bench-gate knobs: fractional ns/op+B/op growth, absolute allocs/op
 # growth, and absolute B/op slack allowed over the committed
@@ -16,7 +16,7 @@ BENCH_BYTE_SLACK  ?= 1024
 # sharing clocks. allocs/op and B/op gate everywhere regardless.
 BENCH_TIME_GATE   ?= auto
 
-.PHONY: check vet build test race alloc-check obs-check trace-check bench bench-smoke bench-gate fuzz fuzz-check failover-check stream-check chaos-check clean clean-data
+.PHONY: check vet build test race alloc-check obs-check trace-check bench bench-smoke bench-gate fuzz fuzz-check perfbench-check failover-check stream-check chaos-check clean clean-data
 
 ## check: the standard verify — vet, build, and the race-enabled suite.
 check: vet build race
@@ -116,6 +116,13 @@ fuzz-check:
 	$(GO) test -run Fuzz -fuzz='^$$' ./internal/csvio/
 	$(GO) test -run Fuzz -fuzz='^$$' ./internal/wal/
 	$(GO) test -run Fuzz -fuzz='^$$' ./internal/obs/trace/
+	$(GO) test -run Fuzz -fuzz='^$$' ./internal/plot/
+
+## perfbench-check: vet and test the end-to-end benchmark, a separate
+## module that `go test ./...` at the root does not reach.
+perfbench-check:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
 
 clean:
 	$(GO) clean ./...

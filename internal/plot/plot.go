@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 
 	"github.com/asap-go/asap/internal/baselines"
@@ -128,6 +129,10 @@ func SVG(title string, width, height int, lines ...Line) (string, error) {
 	// Shared viewport across all lines.
 	xmin, xmax := math.Inf(1), math.Inf(-1)
 	ymin, ymax := math.Inf(1), math.Inf(-1)
+	// Every path coordinate pair takes ~15 bytes on a canvas under
+	// 1000 px; 16 per point plus the fixed elements sizes the buffer
+	// so the common document is built without regrowing.
+	size := 512 + len(title)
 	for _, l := range lines {
 		if len(l.Points) == 0 {
 			return "", fmt.Errorf("%w: line %q has no points", ErrInput, l.Name)
@@ -136,6 +141,7 @@ func SVG(title string, width, height int, lines ...Line) (string, error) {
 			xmin, xmax = math.Min(xmin, p.X), math.Max(xmax, p.X)
 			ymin, ymax = math.Min(ymin, p.Y), math.Max(ymax, p.Y)
 		}
+		size += 256 + len(l.Name) + len(l.Color) + 16*len(l.Points)
 	}
 	if xmax == xmin {
 		xmin, xmax = xmin-0.5, xmax+0.5
@@ -150,45 +156,85 @@ func SVG(title string, width, height int, lines ...Line) (string, error) {
 	tx := func(x float64) float64 { return margin + (x-xmin)/(xmax-xmin)*plotW }
 	ty := func(y float64) float64 { return margin + (1-(y-ymin)/(ymax-ymin))*plotH }
 
-	var b strings.Builder
-	fmt.Fprintf(&b, `<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" viewBox="0 0 %d %d">`+"\n",
+	b := make([]byte, 0, size)
+	b = fmt.Appendf(b, `<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" viewBox="0 0 %d %d">`+"\n",
 		width, height, width, height)
-	b.WriteString(`<rect width="100%" height="100%" fill="white"/>` + "\n")
-	fmt.Fprintf(&b, `<text x="%d" y="24" font-family="sans-serif" font-size="16">%s</text>`+"\n",
+	b = append(b, `<rect width="100%" height="100%" fill="white"/>`+"\n"...)
+	b = fmt.Appendf(b, `<text x="%d" y="24" font-family="sans-serif" font-size="16">%s</text>`+"\n",
 		int(margin), escapeXML(title))
 	// Axes.
-	fmt.Fprintf(&b, `<line x1="%.1f" y1="%.1f" x2="%.1f" y2="%.1f" stroke="#444"/>`+"\n",
+	b = fmt.Appendf(b, `<line x1="%.1f" y1="%.1f" x2="%.1f" y2="%.1f" stroke="#444"/>`+"\n",
 		margin, margin+plotH, margin+plotW, margin+plotH)
-	fmt.Fprintf(&b, `<line x1="%.1f" y1="%.1f" x2="%.1f" y2="%.1f" stroke="#444"/>`+"\n",
+	b = fmt.Appendf(b, `<line x1="%.1f" y1="%.1f" x2="%.1f" y2="%.1f" stroke="#444"/>`+"\n",
 		margin, margin, margin, margin+plotH)
-	fmt.Fprintf(&b, `<text x="4" y="%.1f" font-family="sans-serif" font-size="10">%.3g</text>`+"\n", margin+6, ymax)
-	fmt.Fprintf(&b, `<text x="4" y="%.1f" font-family="sans-serif" font-size="10">%.3g</text>`+"\n", margin+plotH, ymin)
+	b = fmt.Appendf(b, `<text x="4" y="%.1f" font-family="sans-serif" font-size="10">%.3g</text>`+"\n", margin+6, ymax)
+	b = fmt.Appendf(b, `<text x="4" y="%.1f" font-family="sans-serif" font-size="10">%.3g</text>`+"\n", margin+plotH, ymin)
 
 	for i, l := range lines {
 		color := l.Color
 		if color == "" {
 			color = palette[i%len(palette)]
 		}
-		var path strings.Builder
+		b = append(b, `<path d="`...)
 		for j, p := range l.Points {
-			cmd := "L"
 			if j == 0 {
-				cmd = "M"
+				b = append(b, 'M')
+			} else {
+				b = append(b, " L"...)
 			}
-			fmt.Fprintf(&path, "%s%.2f %.2f ", cmd, tx(p.X), ty(p.Y))
+			b = appendFixed2(b, tx(p.X))
+			b = append(b, ' ')
+			b = appendFixed2(b, ty(p.Y))
 		}
-		fmt.Fprintf(&b, `<path d="%s" fill="none" stroke="%s" stroke-width="1.2"/>`+"\n",
-			strings.TrimSpace(path.String()), color)
+		b = append(b, `" fill="none" stroke="`...)
+		b = append(b, color...)
+		b = append(b, `" stroke-width="1.2"/>`+"\n"...)
 		// Legend entry.
 		lx := margin + plotW - 140
 		lyOff := margin + 14*float64(i)
-		fmt.Fprintf(&b, `<line x1="%.1f" y1="%.1f" x2="%.1f" y2="%.1f" stroke="%s" stroke-width="2"/>`+"\n",
+		b = fmt.Appendf(b, `<line x1="%.1f" y1="%.1f" x2="%.1f" y2="%.1f" stroke="%s" stroke-width="2"/>`+"\n",
 			lx, lyOff, lx+18, lyOff, color)
-		fmt.Fprintf(&b, `<text x="%.1f" y="%.1f" font-family="sans-serif" font-size="11">%s</text>`+"\n",
+		b = fmt.Appendf(b, `<text x="%.1f" y="%.1f" font-family="sans-serif" font-size="11">%s</text>`+"\n",
 			lx+24, lyOff+4, escapeXML(l.Name))
 	}
-	b.WriteString("</svg>\n")
-	return b.String(), nil
+	b = append(b, "</svg>\n"...)
+	return string(b), nil
+}
+
+// appendFixed2 appends v formatted as strconv.AppendFloat(dst, v, 'f', 2,
+// 64) does, byte for byte. strconv serves 'f' with a precision through
+// its multiprecision decimal path; this one is exact in uint64 instead.
+// For finite |v| < 2^46 the float is mant·2^-s with mant < 2^53 and
+// s >= 7, so |v|·100 = mant·100·2^-s with mant·100 < 2^60: the shift's
+// quotient and remainder give round-half-to-even of |v|·100 exactly,
+// which is what strconv's exact decimal rounding computes. NaN, ±Inf
+// and larger magnitudes, never pixel coordinates, take strconv.
+func appendFixed2(dst []byte, v float64) []byte {
+	bits := math.Float64bits(v)
+	exp := int(bits>>52) & 0x7ff
+	if exp >= 1023+46 {
+		return strconv.AppendFloat(dst, v, 'f', 2, 64)
+	}
+	mant := bits & (1<<52 - 1)
+	if exp == 0 {
+		exp = 1 // subnormal: no implicit bit, same scale as the smallest normal
+	} else {
+		mant |= 1 << 52
+	}
+	var n uint64
+	if s := uint(1075 - exp); s <= 60 {
+		m := mant * 100
+		n = m >> s
+		rem, half := m&(1<<s-1), uint64(1)<<(s-1)
+		if rem > half || rem == half && n&1 == 1 {
+			n++
+		}
+	} // else |v|·100 < 2^60·2^-61 = 1/2: rounds to 0
+	if bits>>63 != 0 {
+		dst = append(dst, '-')
+	}
+	dst = strconv.AppendUint(dst, n/100, 10)
+	return append(dst, '.', byte('0'+n/10%10), byte('0'+n%10))
 }
 
 // SVGSeries is a convenience wrapper plotting dense series (index as x).
@@ -204,7 +250,6 @@ func SVGSeries(title string, width, height int, named map[string][]float64, orde
 	return SVG(title, width, height, lines...)
 }
 
-func escapeXML(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
-	return r.Replace(s)
-}
+var xmlEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
+
+func escapeXML(s string) string { return xmlEscaper.Replace(s) }

@@ -122,8 +122,12 @@ func (e *event) sse() []byte {
 				// emit a half-framed event.
 				body = []byte("null")
 			}
-			e.data = []byte("event: frame\nid: " + e.series + "@" + strconv.Itoa(e.seq) +
-				"\ndata: " + string(body) + "\n\n")
+			// One buffer, sized for the longest sequence number, so the
+			// ~14 KB body is copied once and no header string is built.
+			b := make([]byte, 0, len("event: frame\nid: @-9223372036854775808\ndata: ")+len(e.series)+len(body)+2)
+			b = append(append(append(b, "event: frame\nid: "...), e.series...), '@')
+			b = append(strconv.AppendInt(b, int64(e.seq), 10), "\ndata: "...)
+			e.data = append(append(b, body...), "\n\n"...)
 		}
 	})
 	return e.data

@@ -1,7 +1,9 @@
 package server
 
 import (
+	"encoding/json"
 	"fmt"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -334,6 +336,35 @@ func TestBroadcastConcurrentChurn(t *testing.T) {
 	}
 	if n := b.Subscribers(); n != 0 {
 		t.Errorf("subscribers = %d after shutdown, want 0", n)
+	}
+}
+
+// TestEventSSEMatchesConcatenation pins the wire bytes of frame and
+// dropped events to the string concatenation sse() used to build them.
+func TestEventSSEMatchesConcatenation(t *testing.T) {
+	for _, series := range []string{"cpu", "a\"b<c>&d", "ünï.cødé", ""} {
+		f := &asap.Frame{Values: []float64{1, -2.5, 1e-300, 3e21, 0}, Window: 7,
+			Roughness: 0.125, Kurtosis: 3.5, SeedReused: true, Sequence: 42}
+		body, err := json.Marshal(frameJSON{
+			Series: series, Values: f.Values, Window: f.Window, Roughness: f.Roughness,
+			Kurtosis: f.Kurtosis, SeedReused: f.SeedReused, Sequence: f.Sequence,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := []byte("event: frame\nid: " + series + "@" + strconv.Itoa(f.Sequence) +
+			"\ndata: " + string(body) + "\n\n")
+		if got := newFrameEvent(series, f).sse(); string(got) != string(want) {
+			t.Errorf("frame event for %q:\ngot  %q\nwant %q", series, got, want)
+		}
+
+		body, _ = json.Marshal(struct {
+			Series string `json:"series"`
+		}{series})
+		want = []byte("event: dropped\ndata: " + string(body) + "\n\n")
+		if got := newDroppedEvent(series).sse(); string(got) != string(want) {
+			t.Errorf("dropped event for %q:\ngot  %q\nwant %q", series, got, want)
+		}
 	}
 }
 

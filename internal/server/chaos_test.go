@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
@@ -120,6 +121,15 @@ func TestChaosDegradedShardServesReadsAndRecovers(t *testing.T) {
 	}
 	if _, body := get(t, ts.URL+"/metrics"); !strings.Contains(body, "asap_wal_degraded_shards 1") {
 		t.Error("/metrics does not report the degraded shard")
+	}
+	var stats struct {
+		WAL struct {
+			DegradedShards *int `json:"degraded_shards"`
+		} `json:"wal"`
+	}
+	if _, body := get(t, ts.URL+"/stats"); json.Unmarshal([]byte(body), &stats) != nil ||
+		stats.WAL.DegradedShards == nil || *stats.WAL.DegradedShards != 1 {
+		t.Errorf("/stats does not report the degraded shard: %s", body)
 	}
 
 	// The operator fixes the disk; the background reopen restores

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"html/template"
+	"io"
 	"log/slog"
 	"net"
 	"net/http"
@@ -947,6 +948,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"recovered_series":        wst.Recovery.SeriesRecovered,
 			"replayed_points":         wst.Recovery.PointsReplayed,
 			"corrupt_records_skipped": wst.Recovery.CorruptRecordsSkipped,
+			"degraded_shards":         wst.DegradedShards,
+			"wedged_shards":           wst.WedgedShards,
+			"reopen_attempts":         wst.ReopenAttempts,
+			"reopen_recoveries":       wst.ReopenRecoveries,
 			"last_snapshot_age_ms":    time.Since(time.Unix(0, s.lastSnapshotNano.Load())).Milliseconds(),
 			"auto_snapshots":          s.autoSnapshots.Load(),
 			"auto_snapshot_errors":    s.autoSnapshotErrs.Load(),
@@ -1008,7 +1013,8 @@ func (s *Server) handlePlot(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "image/svg+xml")
-	fmt.Fprint(w, doc)
+	// A failed write means the client went away; there is no one to tell.
+	_, _ = io.WriteString(w, doc)
 }
 
 var dashboardTmpl = template.Must(template.New("dashboard").Parse(`<!DOCTYPE html>
